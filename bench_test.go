@@ -11,12 +11,24 @@
 package repro
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/gasperleak"
 )
+
+// newBenchClient builds a client over the built-in registry with the
+// given sweep pool width (0 = all CPUs).
+func newBenchClient(b *testing.B, workers int) *gasperleak.Client {
+	b.Helper()
+	c, err := gasperleak.NewClient(gasperleak.WithWorkers(workers))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
 
 // BenchmarkTable1Scenarios runs all five scenarios at paper scale
 // (Table 1). Metric: the Scenario 5.1 conflicting-finalization epoch.
@@ -134,7 +146,7 @@ func BenchmarkFigure10BounceProbability(b *testing.B) {
 func BenchmarkFigure10MonteCarlo(b *testing.B) {
 	var v float64
 	for i := 0; i < b.N; i++ {
-		f, err := gasperleak.Figure10MonteCarlo(1.0/3.0, 300, 3, 5, 0)
+		f, err := newBenchClient(b, 0).Figure10MonteCarlo(context.Background(), 1.0/3.0, 300, 3, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -302,8 +314,7 @@ func BenchmarkLeakSimFullScale(b *testing.B) {
 func benchmarkSweepTable1(b *testing.B, workers int) {
 	var epoch float64
 	for i := 0; i < b.N; i++ {
-		results := gasperleak.Sweep(gasperleak.Table1Cells(1),
-			gasperleak.SweepOptions{Workers: workers})
+		results := newBenchClient(b, workers).Sweep(context.Background(), gasperleak.Table1Cells(1))
 		if err := gasperleak.SweepFirstError(results); err != nil {
 			b.Fatal(err)
 		}
@@ -333,9 +344,10 @@ func benchmarkSweepLeakGrid(b *testing.B, workers int) {
 		Modes:    []string{"double", "semi"},
 	}
 	cells := grid.Cells()
+	c := newBenchClient(b, workers)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results := gasperleak.Sweep(cells, gasperleak.SweepOptions{Workers: workers})
+		results := c.Sweep(context.Background(), cells)
 		if err := gasperleak.SweepFirstError(results); err != nil {
 			b.Fatal(err)
 		}

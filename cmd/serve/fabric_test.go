@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -197,7 +198,7 @@ func TestFabricProcesses(t *testing.T) {
 	}
 
 	cells := fabricGrid(8)
-	want := engine.Sweep(cells, engine.Options{})
+	want := engine.SweepContext(context.Background(), cells, engine.Options{})
 
 	storeDir := t.TempDir()
 	w1 := startServe(t, bin, "-cache", "-1")
@@ -220,7 +221,7 @@ func TestFabricProcesses(t *testing.T) {
 	for i := range killCells {
 		killCells[i].Params.Seed = 77
 	}
-	killWant := engine.Sweep(killCells, engine.Options{})
+	killWant := engine.SweepContext(context.Background(), killCells, engine.Options{})
 	killDone := make(chan []engine.Update, 1)
 	go func() {
 		body, err := json.Marshal(map[string]any{"cells": killCells})
@@ -325,7 +326,7 @@ func TestFabricCrashResume(t *testing.T) {
 	cells := []engine.Cell{{Scenario: "sim/leak", Params: engine.Params{
 		P0: 0.5, N: 1000, Horizon: 3000, Seed: 1,
 	}}}
-	want := engine.Sweep(cells, engine.Options{})
+	want := engine.SweepContext(context.Background(), cells, engine.Options{})
 
 	storeDir := t.TempDir()
 	worker := startServe(t, bin, "-cache", "-1", "-store", storeDir, "-checkpoint-every", "200")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/gasperleak"
+	"repro/internal/engine"
 )
 
 func TestNewClientOptionValidation(t *testing.T) {
@@ -27,8 +28,9 @@ func TestNewClientOptionValidation(t *testing.T) {
 	}
 }
 
-// TestClientMatchesDeprecatedSurface: the v2 client and the v1 shims
-// produce the same result payloads over the same registry.
+// TestClientMatchesDeprecatedSurface: the client produces the same result
+// payloads as the engine entry points the retired v1 shims wrapped
+// (engine.Default.RunContext, engine.SweepContext) over the same registry.
 func TestClientMatchesDeprecatedSurface(t *testing.T) {
 	c, err := gasperleak.NewClient(gasperleak.WithWorkers(2))
 	if err != nil {
@@ -36,23 +38,24 @@ func TestClientMatchesDeprecatedSurface(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	res, err := c.Run(ctx, "analytic/conflict", gasperleak.ScenarioParams{Mode: "slashing", Beta0: 0.2})
+	p := gasperleak.ScenarioParams{Mode: "slashing", Beta0: 0.2}
+	res, err := c.Run(ctx, "analytic/conflict", p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := gasperleak.RunScenario("analytic/conflict", gasperleak.ScenarioParams{Mode: "slashing", Beta0: 0.2})
+	want, err := engine.Default.RunContext(ctx, "analytic/conflict", p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.WithoutMeta(), old.WithoutMeta()) {
-		t.Errorf("client run diverges from v1 shim: %+v vs %+v", res, old)
+	if !reflect.DeepEqual(res.WithoutMeta(), want.WithoutMeta()) {
+		t.Errorf("client run diverges from the engine: %+v vs %+v", res, want)
 	}
 
 	cells := gasperleak.Table1Cells(1)
-	v2 := gasperleak.StripScenarioMeta(c.Sweep(ctx, cells))
-	v1 := gasperleak.StripScenarioMeta(gasperleak.Sweep(cells, gasperleak.SweepOptions{Workers: 2}))
-	if !reflect.DeepEqual(v2, v1) {
-		t.Error("client sweep diverges from v1 shim")
+	got := gasperleak.StripScenarioMeta(c.Sweep(ctx, cells))
+	wantSweep := engine.StripMeta(engine.SweepContext(ctx, cells, engine.Options{Workers: 2}))
+	if !reflect.DeepEqual(got, wantSweep) {
+		t.Error("client sweep diverges from the engine")
 	}
 }
 

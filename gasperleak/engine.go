@@ -1,14 +1,9 @@
 package gasperleak
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/engine"
-	// Install the snapshot-tree warm-start scheduler behind WithWarmStart
-	// (the engine package cannot import it; see
-	// engine.SetWarmStartScheduler).
-	_ "repro/internal/engine/warmstart"
 	"repro/internal/report"
 )
 
@@ -16,12 +11,8 @@ import (
 // table, figure, and CLI of the reproduction. Scenarios are looked up by
 // name in a registry and parameter grids fan out over a worker pool with
 // per-cell derived seeds, so sweep result payloads are bit-identical
-// regardless of worker count.
-//
-// The execution entry points below are the v1 batch surface, kept as thin
-// shims over the v2 Client (client.go): they run on the default registry
-// with no cancellation. New code should construct a Client and pass a
-// context instead.
+// regardless of worker count. Runs and sweeps execute through a Client
+// (client.go), which threads a context through every call.
 type (
 	// Scenario is one runnable analysis (analytic solver, paper-scale
 	// engine, or protocol-simulator experiment).
@@ -40,8 +31,6 @@ type (
 	// SweepGrid is a rectangular parameter sweep (p0 x beta0 x mode x
 	// seed x horizon) for one scenario.
 	SweepGrid = engine.Grid
-	// SweepOptions bounds sweep concurrency and selects the registry.
-	SweepOptions = engine.Options
 	// ParamField identifies one ScenarioParams field for
 	// explicit-presence tracking (ScenarioParams.Explicit): marking a
 	// field keeps an explicit zero — rate=0, gst=0 — through defaulting.
@@ -53,13 +42,6 @@ type (
 // flag.Visit to mark exactly the flags the user passed.
 func ParamFieldForKey(key string) (ParamField, bool) { return engine.FieldForKey(key) }
 
-// RunScenario executes a named scenario from the default registry.
-//
-// Deprecated: use Client.Run, which takes a context for cancellation.
-func RunScenario(name string, p ScenarioParams) (ScenarioResult, error) {
-	return engine.Run(name, p)
-}
-
 // LookupScenario finds a scenario in the default registry.
 func LookupScenario(name string) (Scenario, bool) { return engine.Lookup(name) }
 
@@ -70,25 +52,6 @@ func ScenarioNames() []string { return engine.Names() }
 // custom registry (or engine.Default).
 func NewScenario(name, desc string, defaults ScenarioParams, run func(ScenarioParams) (ScenarioResult, error)) Scenario {
 	return engine.NewScenario(name, desc, defaults, run)
-}
-
-// Sweep fans the cells out over a bounded worker pool and returns one
-// result per cell, in cell order, with payloads bit-identical for any
-// worker count.
-//
-// Deprecated: use Client.Sweep (collected) or Client.SweepStream
-// (per-cell updates as they complete), which take a context for
-// cancellation.
-func Sweep(cells []SweepCell, opt SweepOptions) []ScenarioResult {
-	return engine.Sweep(cells, opt)
-}
-
-// RunSweepGrid expands a parameter grid and sweeps it.
-//
-// Deprecated: use Client.SweepGrid, which takes a context for
-// cancellation.
-func RunSweepGrid(g SweepGrid, opt SweepOptions) []ScenarioResult {
-	return engine.SweepGrid(g, opt)
 }
 
 // ParseGrid parses a "p0=0.2:0.8:0.1; beta0=0.1,0.2; mode=double" sweep
@@ -113,16 +76,6 @@ func DeriveSeed(base int64, p0, beta0 float64, mode string, horizon int) int64 {
 // one bounce-mc cell per run with consecutive base seeds.
 func BounceMCGrid(p0, beta0 float64, n, runs int, seed int64, sample, horizon int) SweepGrid {
 	return engine.BounceMCGrid(p0, beta0, n, runs, seed, sample, horizon)
-}
-
-// BounceMCSweep runs `runs` independent bouncing-attack trajectories and
-// returns the engine results plus the run-averaged exceed-probability
-// curve on the epoch grid sample, 2*sample, ..., horizon.
-//
-// Deprecated: use Client.BounceMCSweep, which takes a context for
-// cancellation.
-func BounceMCSweep(p0, beta0 float64, n, runs int, seed int64, sample, horizon, workers int) ([]ScenarioResult, []float64, error) {
-	return report.BounceMCSweep(context.Background(), p0, beta0, n, runs, seed, sample, horizon, engine.Options{Workers: workers})
 }
 
 // RenderSweep renders sweep results as a fixed-width ASCII table.

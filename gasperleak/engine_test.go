@@ -1,6 +1,7 @@
 package gasperleak_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,7 +19,12 @@ func TestPublicEngineWrappers(t *testing.T) {
 		t.Errorf("5.2.1 missing from registry %v", names)
 	}
 
-	res, err := gasperleak.RunScenario("analytic/conflict", gasperleak.ScenarioParams{Mode: "slashing", Beta0: 0.2})
+	c, err := gasperleak.NewClient(gasperleak.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := c.Run(ctx, "analytic/conflict", gasperleak.ScenarioParams{Mode: "slashing", Beta0: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +36,7 @@ func TestPublicEngineWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := gasperleak.RunSweepGrid(g, gasperleak.SweepOptions{Workers: 2})
+	results := c.SweepGrid(ctx, g)
 	if err := gasperleak.SweepFirstError(results); err != nil {
 		t.Fatal(err)
 	}

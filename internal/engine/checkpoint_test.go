@@ -260,6 +260,58 @@ func TestSweepCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestSweepCheckpointUnderWarmStart: a warm sweep still checkpoints the
+// cells it runs on their own. A lone forkable cell shares its prefix with
+// no other cell, so it runs cold under the durable-checkpoint policy: on
+// an empty store it writes periodic checkpoints, and from a planted one
+// it resumes bit-identically.
+func TestSweepCheckpointUnderWarmStart(t *testing.T) {
+	shrinkChunk(t, 4)
+	ctx := context.Background()
+	cell := Cell{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
+	cold := SweepContext(ctx, []Cell{cell}, Options{Workers: 1})
+	ms := newMemStore()
+	opt := Options{
+		Workers:    1,
+		WarmStart:  &WarmStartOptions{},
+		Checkpoint: &CheckpointOptions{Every: 8, Store: ms},
+	}
+
+	fresh := SweepContext(ctx, []Cell{cell}, opt)
+	if got, want := StripMeta(fresh), StripMeta(cold); !reflect.DeepEqual(got, want) {
+		t.Fatalf("warm checkpointed run diverged from the cold run:\n  warm: %+v\n  cold: %+v", got, want)
+	}
+	m := fresh[0].Meta
+	if m == nil || m.Warm == nil || m.Warm.Hit {
+		t.Fatalf("meta %+v, want cold warm-start provenance (hit=false)", m)
+	}
+	if m.Checkpoint == nil || m.Checkpoint.Written == 0 || ms.saves == 0 {
+		t.Fatalf("checkpoint meta %+v with %d saves, want periodic checkpoints", m.Checkpoint, ms.saves)
+	}
+
+	// Plant the checkpoint a crashed worker would have left at epoch 16.
+	sc, _ := Default.Lookup(cell.Scenario)
+	cs := sc.(CheckpointableScenario)
+	pre, err := cs.RunTo(ctx, cell.Params.WithDefaults(sc.Defaults()), nil, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _ := CanonicalCellKey(Default, cell)
+	if err := savePrefixPayload(cs, ms, key, pre); err != nil {
+		t.Fatal(err)
+	}
+	resumed := SweepContext(ctx, []Cell{cell}, opt)
+	if got, want := StripMeta(resumed), StripMeta(cold); !reflect.DeepEqual(got, want) {
+		t.Fatalf("warm resumed run diverged from the cold run:\n  resumed: %+v\n  cold:    %+v", got, want)
+	}
+	if ck := resumed[0].Meta.Checkpoint; ck == nil || !ck.Resumed || ck.ResumeEpoch != 16 || ck.EpochsSaved != 16 {
+		t.Fatalf("checkpoint meta %+v, want resumed from epoch 16", ck)
+	}
+	if n := ms.len(); n != 0 {
+		t.Fatalf("store holds %d checkpoints after completion, want 0", n)
+	}
+}
+
 // TestSweepCheckpointCorruptColdStart: an undecodable checkpoint payload
 // (schema drift the store's framing cannot catch) is silently discarded —
 // the cell starts cold, produces the correct result, and repairs the

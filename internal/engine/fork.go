@@ -49,10 +49,10 @@ type Prefix struct {
 }
 
 // ForkableScenario is the optional Scenario extension that opts a
-// simulation scenario into snapshot-tree warm-started sweeps: the
-// scheduler (internal/engine/warmstart) groups a grid's cells by prefix
-// key, simulates each shared prefix once via RunTo, and fans the cells out
-// from the checkpoint via ResumeFrom.
+// simulation scenario into snapshot-tree warm-started sweeps: a sweep with
+// Options.WarmStart set groups the grid's cells by prefix key, simulates
+// each shared prefix once via RunTo, and fans the cells out from the
+// checkpoint via ResumeFrom.
 //
 // The contract every implementation must honor, and the warm-vs-cold
 // equivalence suite pins: for any fully-defaulted params p with
@@ -138,18 +138,4 @@ type WarmMeta struct {
 	// PeakResidentBytes is the high-water mark of resident snapshot bytes
 	// so far.
 	PeakResidentBytes int64 `json:"peak_resident_bytes,omitempty"`
-}
-
-// warmScheduler is the snapshot-tree sweep scheduler hook. The engine
-// package cannot import internal/engine/warmstart (the scheduler imports
-// the engine), so the scheduler installs itself here from its init;
-// consumers activate it by importing the warmstart package (gasperleak
-// and internal/server do). SweepStream dispatches to it when
-// Options.WarmStart is set.
-var warmScheduler func(ctx context.Context, cells []Cell, opt Options) <-chan Update
-
-// SetWarmStartScheduler installs the warm-start sweep scheduler
-// (internal/engine/warmstart's init calls this; tests may swap in fakes).
-func SetWarmStartScheduler(f func(ctx context.Context, cells []Cell, opt Options) <-chan Update) {
-	warmScheduler = f
 }

@@ -30,8 +30,8 @@ func streamRegistry(perCell time.Duration) *Registry {
 
 // TestSweepStreamMatchesBatch is the acceptance check of the streaming
 // redesign: for any worker count, collecting SweepStream yields exactly
-// the batch Sweep result set (Meta timing aside), and the progress counts
-// are a complete 1..Total sequence.
+// the one-worker SweepContext result set (Meta timing aside), and the
+// progress counts are a complete 1..Total sequence.
 func TestSweepStreamMatchesBatch(t *testing.T) {
 	leak := Grid{
 		Scenario: ScenarioLeakSim,
@@ -51,7 +51,7 @@ func TestSweepStreamMatchesBatch(t *testing.T) {
 		N:        100,
 	}
 	cells := append(leak.Cells(), mc.Cells()...)
-	batch := StripMeta(Sweep(cells, Options{Workers: 1}))
+	batch := StripMeta(SweepContext(context.Background(), cells, Options{Workers: 1}))
 
 	for _, workers := range []int{1, 3, runtime.NumCPU()} {
 		collected := make([]Result, len(cells))
@@ -78,7 +78,7 @@ func TestSweepStreamMatchesBatch(t *testing.T) {
 			t.Fatalf("workers=%d: stream yielded %d updates, want %d", workers, wantCompleted-1, len(cells))
 		}
 		if !reflect.DeepEqual(StripMeta(collected), batch) {
-			t.Errorf("workers=%d: streamed result set diverges from batch Sweep", workers)
+			t.Errorf("workers=%d: streamed result set diverges from the one-worker sweep", workers)
 		}
 	}
 }

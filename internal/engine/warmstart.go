@@ -1,24 +1,25 @@
-// Package warmstart is the snapshot-tree sweep scheduler: it groups a
-// sweep's cells by the parameter prefix they share (engine.ForkableScenario
-// Fork keys), simulates each shared prefix exactly once (RunTo), and fans
-// the cells out across the worker pool from deep-copied snapshots
-// (ResumeFrom) — turning a grid whose cells re-simulate identical
-// epoch-0..branch prefixes into one spine walk plus cheap resumes.
+package engine
+
+// The local sweep executor behind SweepStream. Every sweep is planned the
+// same way: with Options.WarmStart set, the cells of ForkableScenario
+// scenarios that share a parameter prefix (Fork key) form a prefix group,
+// whose shared prefix is simulated exactly once (RunTo) and fanned out to
+// the cells from deep-copied snapshots (ResumeFrom) — turning a grid whose
+// cells re-simulate identical epoch-0..branch prefixes into one spine walk
+// plus cheap resumes. Every other cell (all of them when WarmStart is nil:
+// a plan with no prefix groups) runs on its own through runCell, under the
+// durable-checkpoint policy when Options.Checkpoint is set.
 //
-// The scheduler is an execution strategy, not a semantics change: results
-// are bit-identical to engine.Sweep for any worker count, snapshot-reuse
-// pattern, and eviction schedule (the equivalence suite enforces this).
-// Importing the package installs it; engine.Options.WarmStart turns it on
-// per sweep.
+// The snapshot tree is an execution strategy, not a semantics change:
+// results are bit-identical to the cold sweep for any worker count,
+// snapshot-reuse pattern, and eviction schedule (the warm-vs-cold
+// equivalence suite enforces this).
 //
 // Memory: resident snapshots are refcounted and budgeted
-// (engine.WarmStartOptions.MemoryBudget, via sim.Snapshot.Bytes). Over
-// budget, the cheapest-to-rebuild snapshots (lowest branch epoch) are
-// evicted; a cell that later needs an evicted checkpoint rebuilds it from
-// the nearest surviving ancestor, or from genesis. Scenarios that do not
-// implement ForkableScenario — and degenerate groups of one cell — run on
-// the ordinary cold path inside the same pool.
-package warmstart
+// (WarmStartOptions.MemoryBudget, via sim.Snapshot.Bytes). Over budget,
+// the cheapest-to-rebuild snapshots (lowest branch epoch) are evicted; a
+// cell that later needs an evicted checkpoint rebuilds it from the nearest
+// surviving ancestor, or from genesis.
 
 import (
 	"context"
@@ -27,16 +28,10 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/engine"
 )
 
-func init() {
-	engine.SetWarmStartScheduler(Stream)
-}
-
-// entry states. An entry is one planned checkpoint: (prefix key, branch
-// epoch).
+// prefixEntry states. An entry is one planned checkpoint: (prefix key,
+// branch epoch).
 const (
 	statePending    = iota // spine has not reached this branch yet
 	stateLive              // snapshot resident, ready to resume from
@@ -46,9 +41,8 @@ const (
 	stateReleased          // last dependent cell finished; memory freed
 )
 
-type entry struct {
+type prefixEntry struct {
 	branch int
-	group  *group
 	// ready closes when the spine first publishes this entry (live or
 	// failed); resumes wait on it before consulting state.
 	ready chan struct{}
@@ -62,21 +56,21 @@ type entry struct {
 	// snapshot is being read concurrently).
 	pins   int
 	state  int
-	prefix *engine.Prefix
+	prefix *Prefix
 	bytes  int64 // resident bytes charged (0 for aliases of an ancestor)
 	err    error
 }
 
-// group is one prefix-tree spine: the cells of one scenario sharing one
-// Fork key, checkpointed at their sorted distinct branch epochs.
-type group struct {
-	sch *sched
-	fs  engine.ForkableScenario
+// prefixGroup is one prefix-tree spine: the cells of one scenario sharing
+// one Fork key, checkpointed at their sorted distinct branch epochs.
+type prefixGroup struct {
+	tree *snapshotTree
+	fs   ForkableScenario
 	// params is the representative cell's defaulted params. RunTo
 	// implementations derive the prefix from pre-branch dimensions only
 	// (the ForkableScenario contract), so any group member's params serve.
-	params  engine.Params
-	entries map[int]*entry
+	params  Params
+	entries map[int]*prefixEntry
 	order   []int // sorted branch epochs
 	// spineDone is set once runSpine has walked every branch: until then
 	// the spine may still be reading its latest prefix as the base of the
@@ -84,9 +78,9 @@ type group struct {
 	spineDone bool
 }
 
-// sched is the per-sweep scheduler state: budget accounting and the
-// observability counters surfaced through engine.WarmMeta.
-type sched struct {
+// snapshotTree is the per-sweep warm-start state: budget accounting and
+// the observability counters surfaced through WarmMeta.
+type snapshotTree struct {
 	mu       sync.Mutex
 	budget   int64 // <= 0: unlimited
 	resident int64
@@ -94,55 +88,68 @@ type sched struct {
 	hits     int
 	rebuilt  int
 	nodes    int
-	entries  []*entry // every entry across groups, for eviction scans
+	entries  []*prefixEntry // every entry across groups, for eviction scans
 }
 
-// Stream is the warm-start implementation of engine.SweepStream: same
-// channel contract (one Update per cell in completion order, channel
-// closed after the last; cancelled cells marked with the context error),
-// same bit-identical results, different execution plan.
-func Stream(ctx context.Context, cells []engine.Cell, opt engine.Options) <-chan engine.Update {
+// resumeJob is one grouped cell: it completes from its group's checkpoint
+// at the cell's branch epoch.
+type resumeJob struct {
+	idx    int
+	params Params
+	g      *prefixGroup
+	e      *prefixEntry
+}
+
+// sweepLocal runs a sweep in-process. Channel contract (SweepStream): one
+// Update per cell in completion order, the channel closed after the last,
+// cancelled cells marked with the context error.
+func sweepLocal(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 	reg := opt.Registry
 	if reg == nil {
-		reg = engine.Default
+		reg = Default
 	}
-	out := make(chan engine.Update)
+	out := make(chan Update)
 	if len(cells) == 0 {
 		close(out)
 		return out
 	}
-	var ws engine.WarmStartOptions
-	if opt.WarmStart != nil {
-		ws = *opt.WarmStart
+	warm := opt.WarmStart != nil
+	tree := &snapshotTree{}
+	if warm {
+		tree.budget = opt.WarmStart.Budget()
 	}
-	sch := &sched{budget: ws.Budget()}
 
-	// Plan: classify each cell as warm (forkable, shares a prefix with at
-	// least one other cell) or cold.
+	// Plan: a cell joins a prefix group when the sweep is warm, its
+	// scenario is forkable, and it shares a prefix with at least one other
+	// cell; every other cell runs on its own.
 	type warmCell struct {
 		idx    int
-		params engine.Params
+		params Params
 		branch int
 	}
 	pending := make(map[string][]warmCell)
-	pendingFS := make(map[string]engine.ForkableScenario)
+	pendingFS := make(map[string]ForkableScenario)
 	var keys []string // insertion order, for a deterministic plan
-	var colds []int
+	var solos []int
 	for i, c := range cells {
-		s, ok := reg.Lookup(c.Scenario)
-		if !ok {
-			colds = append(colds, i) // surfaces the unknown-scenario error cold
+		if !warm {
+			solos = append(solos, i)
 			continue
 		}
-		fs, ok := s.(engine.ForkableScenario)
+		s, ok := reg.Lookup(c.Scenario)
 		if !ok {
-			colds = append(colds, i)
+			solos = append(solos, i) // surfaces the unknown-scenario error
+			continue
+		}
+		fs, ok := s.(ForkableScenario)
+		if !ok {
+			solos = append(solos, i)
 			continue
 		}
 		p := c.Params.WithDefaults(s.Defaults())
 		key, branch, forkable := fs.Fork(p)
 		if !forkable || branch <= 0 {
-			colds = append(colds, i)
+			solos = append(solos, i)
 			continue
 		}
 		k := c.Scenario + "\x00" + key
@@ -153,49 +160,43 @@ func Stream(ctx context.Context, cells []engine.Cell, opt engine.Options) <-chan
 		pending[k] = append(pending[k], warmCell{i, p, branch})
 	}
 
-	type resumeJob struct {
-		idx    int
-		params engine.Params
-		g      *group
-		e      *entry
-	}
-	var groups []*group
+	var groups []*prefixGroup
 	var resumes []resumeJob
 	for _, k := range keys {
 		wcs := pending[k]
 		if len(wcs) < 2 {
-			// A lone cell gains nothing from checkpointing — run it cold.
-			for _, wc := range wcs {
-				colds = append(colds, wc.idx)
-			}
+			// A lone cell gains nothing from a shared snapshot.
+			solos = append(solos, wcs[0].idx)
 			continue
 		}
-		g := &group{sch: sch, fs: pendingFS[k], params: wcs[0].params, entries: make(map[int]*entry)}
+		g := &prefixGroup{tree: tree, fs: pendingFS[k], params: wcs[0].params, entries: make(map[int]*prefixEntry)}
 		for _, wc := range wcs {
 			e := g.entries[wc.branch]
 			if e == nil {
-				e = &entry{branch: wc.branch, group: g, ready: make(chan struct{}), state: statePending}
+				e = &prefixEntry{branch: wc.branch, ready: make(chan struct{}), state: statePending}
 				g.entries[wc.branch] = e
 				g.order = append(g.order, wc.branch)
-				sch.entries = append(sch.entries, e)
+				tree.entries = append(tree.entries, e)
 			}
 			e.refs++
 			resumes = append(resumes, resumeJob{wc.idx, wc.params, g, e})
 		}
 		sort.Ints(g.order)
-		sch.nodes += len(g.order)
+		tree.nodes += len(g.order)
 		groups = append(groups, g)
 	}
-	sort.SliceStable(colds, func(a, b int) bool { return colds[a] < colds[b] })
+	sort.Ints(solos)
 	// Shallow branches first: their checkpoints publish first.
 	sort.SliceStable(resumes, func(a, b int) bool { return resumes[a].e.branch < resumes[b].e.branch })
 
-	// One job queue for spines, colds, and resumes, in that order. The
+	// One job queue for spines, solo cells, and resumes, in that order. The
 	// ordering is the no-deadlock argument: a resume blocks on its entry's
 	// ready channel, but by FIFO it is dequeued only after every spine job
 	// was dequeued — and spines never wait on anything — so a blocked
-	// resume's spine is always running or finished.
-	total := len(groups) + len(colds) + len(resumes)
+	// resume's spine is always running or finished. The queue is
+	// pre-filled: no producer goroutine to leak, and workers drain the
+	// remainder instantly after cancellation.
+	total := len(groups) + len(solos) + len(resumes)
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -205,70 +206,24 @@ func Stream(ctx context.Context, cells []engine.Cell, opt engine.Options) <-chan
 	}
 	type indexed struct {
 		i   int
-		res engine.Result
+		res Result
 	}
 	finished := make(chan indexed)
 	jobs := make(chan func(), total)
 	for _, g := range groups {
-		g := g
 		jobs <- func() { g.runSpine(ctx) }
 	}
-	for _, i := range colds {
-		i := i
-		cell := cells[i]
+	for _, i := range solos {
 		jobs <- func() {
-			var res engine.Result
-			if err := ctx.Err(); err != nil {
-				// Cancelled before this cell started: mark it without
-				// computing (no Meta — no work was done).
-				res = failedCell(reg, cell, err)
-			} else {
-				start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-				r, err := reg.RunContext(ctx, cell.Scenario, cell.Params)
-				if err != nil {
-					r = failedCell(reg, cell, err)
-				}
-				r.Meta = engine.RunMeta{
-					DurationMS: float64(time.Since(start)) / float64(time.Millisecond), //gasper:nondet wall-clock duration metadata only; never part of result identity
-					Warm:       sch.warmMeta(false, 0, 0),
-				}.Merged(r.Meta)
-				res = r
+			res := runCell(ctx, reg, cells[i], opt.Checkpoint)
+			if warm && res.Meta != nil {
+				res.Meta.Warm = tree.warmMeta(false, 0, 0)
 			}
 			finished <- indexed{i, res}
 		}
 	}
 	for _, rj := range resumes {
-		rj := rj
-		cell := cells[rj.idx]
-		jobs <- func() {
-			var res engine.Result
-			if err := ctx.Err(); err != nil {
-				res = failedCell(reg, cell, err)
-				rj.g.sch.decref(rj.e)
-			} else {
-				start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-				pre, saved, err := rj.g.acquire(ctx, rj.e)
-				var r engine.Result
-				if err == nil {
-					r, err = rj.g.fs.ResumeFrom(ctx, pre, rj.params)
-				}
-				rj.g.sch.decref(rj.e)
-				if err != nil {
-					r = failedCell(reg, cell, err)
-				} else {
-					// Stamp provenance exactly as Registry.RunContext does
-					// on the cold path.
-					r.Scenario = rj.g.fs.Name()
-					r.Params = rj.params
-				}
-				r.Meta = engine.RunMeta{
-					DurationMS: float64(time.Since(start)) / float64(time.Millisecond), //gasper:nondet wall-clock duration metadata only; never part of result identity
-					Warm:       rj.g.sch.warmMeta(true, rj.e.branch, saved),
-				}.Merged(r.Meta)
-				res = r
-			}
-			finished <- indexed{rj.idx, res}
-		}
+		jobs <- func() { finished <- indexed{rj.idx, rj.run(ctx, reg, cells[rj.idx])} }
 	}
 	close(jobs)
 
@@ -291,10 +246,76 @@ func Stream(ctx context.Context, cells []engine.Cell, opt engine.Options) <-chan
 		completed := 0
 		for f := range finished {
 			completed++
-			out <- engine.Update{Index: f.i, Result: f.res, Completed: completed, Total: len(cells)}
+			out <- Update{Index: f.i, Result: f.res, Completed: completed, Total: len(cells)}
 		}
 	}()
 	return out
+}
+
+// runCell executes one cell that no shared prefix serves. With a
+// checkpoint store configured and a checkpointable cell it runs under the
+// durable-checkpoint policy (resume probe, periodic saves); otherwise it
+// runs plain. A cell cancelled before it starts is marked with the
+// context error without computing (no Meta — no work was done); every
+// computed cell carries its wall-clock duration in Result.Meta.
+func runCell(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOptions) Result {
+	if err := ctx.Err(); err != nil {
+		return failedCell(reg, cell, err)
+	}
+	if r, handled, err := runCellCheckpointed(ctx, reg, cell, ck); handled {
+		if err != nil {
+			return failedCell(reg, cell, err)
+		}
+		return r
+	}
+	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
+	r, err := reg.RunContext(ctx, cell.Scenario, cell.Params)
+	if err != nil {
+		r = failedCell(reg, cell, err)
+	}
+	r.Meta = RunMeta{DurationMS: float64(time.Since(start)) / float64(time.Millisecond)}.Merged(r.Meta) //gasper:nondet wall-clock duration metadata only; never part of result identity
+	return r
+}
+
+// failedCell records a cell failure with the defaulted params when
+// possible, so a failed cell still documents the run it attempted.
+func failedCell(reg *Registry, cell Cell, err error) Result {
+	p := cell.Params
+	if s, ok := reg.Lookup(cell.Scenario); ok {
+		p = p.WithDefaults(s.Defaults())
+	}
+	return Result{Scenario: cell.Scenario, Params: p, Err: err.Error()}
+}
+
+// run completes one grouped cell from its group's checkpoint. Warm
+// resumes make no durable checkpoint writes: the shared in-memory
+// snapshot already spares the cell its prefix.
+func (rj resumeJob) run(ctx context.Context, reg *Registry, cell Cell) Result {
+	g := rj.g
+	if err := ctx.Err(); err != nil {
+		g.tree.decref(rj.e)
+		return failedCell(reg, cell, err)
+	}
+	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
+	pre, saved, err := g.acquire(ctx, rj.e)
+	var r Result
+	if err == nil {
+		r, err = g.fs.ResumeFrom(ctx, pre, rj.params)
+	}
+	g.tree.decref(rj.e)
+	if err != nil {
+		r = failedCell(reg, cell, err)
+	} else {
+		// Stamp provenance exactly as Registry.RunContext does on the
+		// cold path.
+		r.Scenario = g.fs.Name()
+		r.Params = rj.params
+	}
+	r.Meta = RunMeta{
+		DurationMS: float64(time.Since(start)) / float64(time.Millisecond), //gasper:nondet wall-clock duration metadata only; never part of result identity
+		Warm:       g.tree.warmMeta(true, rj.e.branch, saved),
+	}.Merged(r.Meta)
+	return r
 }
 
 // runSpine walks the group's branch epochs in order, extending one prefix
@@ -302,43 +323,43 @@ func Stream(ctx context.Context, cells []engine.Cell, opt engine.Options) <-chan
 // branch's entry but keeps walking from the last good prefix, so one bad
 // extension does not doom deeper (independent) retries — under
 // cancellation every remaining entry fails fast with the context error.
-func (g *group) runSpine(ctx context.Context) {
-	var prev *engine.Prefix
+func (g *prefixGroup) runSpine(ctx context.Context) {
+	var prev *Prefix
 	for _, b := range g.order {
 		e := g.entries[b]
 		if err := ctx.Err(); err != nil {
-			g.sch.publishErr(e, err)
+			g.tree.publishErr(e, err)
 			continue
 		}
 		pre, err := g.fs.RunTo(ctx, g.params, prev, b)
 		if err != nil {
-			g.sch.publishErr(e, err)
+			g.tree.publishErr(e, err)
 			continue
 		}
-		g.sch.publish(e, pre, prev)
+		g.tree.publish(e, pre, prev)
 		prev = pre
 	}
-	g.sch.mu.Lock()
+	g.tree.mu.Lock()
 	g.spineDone = true
-	g.sch.mu.Unlock()
+	g.tree.mu.Unlock()
 }
 
 // acquire hands a resume its checkpoint, rebuilding it first if the budget
 // evicted it. Returns the prefix and the number of prefix epochs this cell
 // did not have to simulate (for WarmMeta.EpochsSaved).
-func (g *group) acquire(ctx context.Context, e *entry) (*engine.Prefix, int, error) {
+func (g *prefixGroup) acquire(ctx context.Context, e *prefixEntry) (*Prefix, int, error) {
 	select { //gasper:nondet completion-vs-cancellation: the value path is deterministic and cancellation aborts the cell
 	case <-e.ready:
 	case <-ctx.Done():
 		return nil, 0, ctx.Err()
 	}
-	sch := g.sch
+	t := g.tree
 	for {
-		sch.mu.Lock()
+		t.mu.Lock()
 		switch e.state {
 		case stateLive:
 			pre := e.prefix
-			sch.hits++
+			t.hits++
 			// Last consumer, spine finished, nothing aliasing or pinning
 			// this checkpoint: hand it over Owned, so the resume may adopt
 			// the snapshot's state instead of deep-copying it. The entry is
@@ -347,26 +368,26 @@ func (g *group) acquire(ctx context.Context, e *entry) (*engine.Prefix, int, err
 			if e.refs == 1 && e.pins == 0 && g.spineDone && !g.aliasedLocked(e) {
 				owned := *pre
 				owned.Owned = true
-				sch.resident -= e.bytes
+				t.resident -= e.bytes
 				e.bytes = 0
 				e.prefix = nil
 				e.state = stateReleased
-				sch.mu.Unlock()
+				t.mu.Unlock()
 				return &owned, owned.Epoch, nil
 			}
-			sch.mu.Unlock()
+			t.mu.Unlock()
 			return pre, pre.Epoch, nil
 
 		case stateFailed:
 			err := e.err
-			sch.mu.Unlock()
+			t.mu.Unlock()
 			return nil, 0, err
 
 		case stateEvicted:
 			e.state = stateRebuilding
 			e.rebuildCh = make(chan struct{})
 			ancEntry := g.nearestLiveAncestorLocked(e.branch)
-			var anc *engine.Prefix
+			var anc *Prefix
 			if ancEntry != nil {
 				// Pin the ancestor for the duration of the rebuild: RunTo
 				// reads its snapshot, so it must not be handed to its own
@@ -376,11 +397,11 @@ func (g *group) acquire(ctx context.Context, e *entry) (*engine.Prefix, int, err
 				anc = ancEntry.prefix
 				ancEntry.pins++
 			}
-			sch.mu.Unlock()
+			t.mu.Unlock()
 
 			pre, err := g.fs.RunTo(ctx, g.params, anc, e.branch)
 
-			sch.mu.Lock()
+			t.mu.Lock()
 			if ancEntry != nil {
 				ancEntry.pins--
 			}
@@ -395,22 +416,17 @@ func (g *group) acquire(ctx context.Context, e *entry) (*engine.Prefix, int, err
 				} else {
 					e.state, e.err = stateFailed, err
 				}
-				sch.mu.Unlock()
+				t.mu.Unlock()
 				close(ch)
 				return nil, 0, err
 			}
 			e.prefix = pre
 			e.state = stateLive
-			sch.rebuilt++
+			t.rebuilt++
 			if anc == nil || pre != anc {
-				e.bytes = pre.Snap.Bytes()
-				sch.resident += e.bytes
-				if sch.resident > sch.peak {
-					sch.peak = sch.resident
-				}
-				sch.enforceBudgetLocked(e)
+				t.chargeLocked(e, pre)
 			}
-			sch.mu.Unlock()
+			t.mu.Unlock()
 			close(ch)
 			saved := 0
 			if anc != nil {
@@ -420,7 +436,7 @@ func (g *group) acquire(ctx context.Context, e *entry) (*engine.Prefix, int, err
 
 		case stateRebuilding:
 			ch := e.rebuildCh
-			sch.mu.Unlock()
+			t.mu.Unlock()
 			select { //gasper:nondet completion-vs-cancellation: the value path is deterministic and cancellation aborts the cell
 			case <-ch:
 			case <-ctx.Done():
@@ -431,16 +447,16 @@ func (g *group) acquire(ctx context.Context, e *entry) (*engine.Prefix, int, err
 			// pending after ready, or released while this cell holds a
 			// ref: both would be scheduler bugs.
 			st := e.state
-			sch.mu.Unlock()
-			return nil, 0, fmt.Errorf("warmstart: checkpoint at branch %d in unexpected state %d", e.branch, st)
+			t.mu.Unlock()
+			return nil, 0, fmt.Errorf("engine: warm-start checkpoint at branch %d in unexpected state %d", e.branch, st)
 		}
 	}
 }
 
 // nearestLiveAncestorLocked finds the deepest resident checkpoint strictly
 // below the given branch in this group, for rebuilding from. Caller holds
-// sch.mu.
-func (g *group) nearestLiveAncestorLocked(branch int) *entry {
+// tree.mu.
+func (g *prefixGroup) nearestLiveAncestorLocked(branch int) *prefixEntry {
 	for i := sort.SearchInts(g.order, branch) - 1; i >= 0; i-- {
 		if e := g.entries[g.order[i]]; e.state == stateLive {
 			return e
@@ -450,8 +466,9 @@ func (g *group) nearestLiveAncestorLocked(branch int) *entry {
 }
 
 // aliasedLocked reports whether another entry still references the same
-// prefix (Done prefixes alias across deeper branches). Caller holds sch.mu.
-func (g *group) aliasedLocked(e *entry) bool {
+// prefix (Done prefixes alias across deeper branches). Caller holds
+// tree.mu.
+func (g *prefixGroup) aliasedLocked(e *prefixEntry) bool {
 	for _, o := range g.entries {
 		if o != e && o.prefix == e.prefix {
 			return true
@@ -464,44 +481,50 @@ func (g *group) aliasedLocked(e *entry) bool {
 // When RunTo returned the previous checkpoint unchanged (a Done prefix —
 // the scenario concluded before this branch), the entry aliases the same
 // snapshot and is charged zero bytes.
-func (s *sched) publish(e *entry, pre, prev *engine.Prefix) {
-	s.mu.Lock()
+func (t *snapshotTree) publish(e *prefixEntry, pre, prev *Prefix) {
+	t.mu.Lock()
 	e.prefix = pre
 	e.state = stateLive
 	if pre != prev {
-		e.bytes = pre.Snap.Bytes()
-		s.resident += e.bytes
-		if s.resident > s.peak {
-			s.peak = s.resident
-		}
-		s.enforceBudgetLocked(e)
+		t.chargeLocked(e, pre)
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 	close(e.ready)
 }
 
-func (s *sched) publishErr(e *entry, err error) {
-	s.mu.Lock()
+func (t *snapshotTree) publishErr(e *prefixEntry, err error) {
+	t.mu.Lock()
 	e.state, e.err = stateFailed, err
-	s.mu.Unlock()
+	t.mu.Unlock()
 	close(e.ready)
+}
+
+// chargeLocked accounts a freshly resident snapshot against the budget
+// and the peak. Caller holds t.mu.
+func (t *snapshotTree) chargeLocked(e *prefixEntry, pre *Prefix) {
+	e.bytes = pre.Snap.Bytes()
+	t.resident += e.bytes
+	if t.resident > t.peak {
+		t.peak = t.resident
+	}
+	t.enforceBudgetLocked(e)
 }
 
 // enforceBudgetLocked evicts resident checkpoints, lowest branch epoch
 // first (the cheapest to rebuild), until the budget holds again — never
 // the entry just published (evicting it would thrash: its consumer is by
 // definition about to need it). Aliases are skipped: they hold no bytes of
-// their own, so evicting one frees nothing. Caller holds s.mu.
+// their own, so evicting one frees nothing. Caller holds t.mu.
 //
 // Eviction is always safe: prefixes are immutable, so a resume already
 // holding the pointer is unaffected; later resumes rebuild.
-func (s *sched) enforceBudgetLocked(keep *entry) {
-	if s.budget <= 0 {
+func (t *snapshotTree) enforceBudgetLocked(keep *prefixEntry) {
+	if t.budget <= 0 {
 		return
 	}
-	for s.resident > s.budget {
-		var victim *entry
-		for _, e := range s.entries {
+	for t.resident > t.budget {
+		var victim *prefixEntry
+		for _, e := range t.entries {
 			if e == keep || e.state != stateLive || e.bytes == 0 {
 				continue
 			}
@@ -512,7 +535,7 @@ func (s *sched) enforceBudgetLocked(keep *entry) {
 		if victim == nil {
 			return // only the just-published snapshot remains; keep it
 		}
-		s.resident -= victim.bytes
+		t.resident -= victim.bytes
 		victim.bytes = 0
 		victim.prefix = nil
 		victim.state = stateEvicted
@@ -521,41 +544,31 @@ func (s *sched) enforceBudgetLocked(keep *entry) {
 
 // decref retires one cell's claim on a checkpoint; the last claim releases
 // the snapshot.
-func (s *sched) decref(e *entry) {
-	s.mu.Lock()
+func (t *snapshotTree) decref(e *prefixEntry) {
+	t.mu.Lock()
 	e.refs--
 	if e.refs <= 0 && e.state != stateRebuilding {
 		if e.state == stateLive {
-			s.resident -= e.bytes
+			t.resident -= e.bytes
 		}
 		e.bytes = 0
 		e.prefix = nil
 		e.state = stateReleased
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // warmMeta snapshots the sweep-wide counters for one cell's RunMeta.
-func (s *sched) warmMeta(hit bool, branch, saved int) *engine.WarmMeta {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return &engine.WarmMeta{
+func (t *snapshotTree) warmMeta(hit bool, branch, saved int) *WarmMeta {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return &WarmMeta{
 		Hit:               hit,
 		BranchEpoch:       branch,
 		EpochsSaved:       saved,
-		PrefixNodes:       s.nodes,
-		SnapshotHits:      s.hits,
-		Rebuilt:           s.rebuilt,
-		PeakResidentBytes: s.peak,
+		PrefixNodes:       t.nodes,
+		SnapshotHits:      t.hits,
+		Rebuilt:           t.rebuilt,
+		PeakResidentBytes: t.peak,
 	}
-}
-
-// failedCell mirrors the cold sweep's failure shape: the defaulted params
-// when resolvable, so a failed cell still documents the run it attempted.
-func failedCell(reg *engine.Registry, cell engine.Cell, err error) engine.Result {
-	p := cell.Params
-	if s, ok := reg.Lookup(cell.Scenario); ok {
-		p = p.WithDefaults(s.Defaults())
-	}
-	return engine.Result{Scenario: cell.Scenario, Params: p, Err: err.Error()}
 }

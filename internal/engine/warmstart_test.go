@@ -1,21 +1,18 @@
-package warmstart_test
+package engine
 
 import (
 	"context"
 	"reflect"
 	"testing"
-
-	"repro/internal/engine"
-	_ "repro/internal/engine/warmstart"
 )
 
 // variantRegistry builds a registry holding the four forkable sim
 // scenarios under the given simulator variant.
-func variantRegistry(t *testing.T, v engine.SimVariant) *engine.Registry {
+func variantRegistry(t *testing.T, v SimVariant) *Registry {
 	t.Helper()
-	reg := engine.NewRegistry()
+	reg := NewRegistry()
 	for _, name := range []string{"sim/drops", "sim/gst", "sim/leak", "sim/semiactive"} {
-		s, ok := engine.NewSimScenarioVariant(name, v)
+		s, ok := NewSimScenarioVariant(name, v)
 		if !ok {
 			t.Fatalf("NewSimScenarioVariant(%q) not forkable", name)
 		}
@@ -28,8 +25,8 @@ func variantRegistry(t *testing.T, v engine.SimVariant) *engine.Registry {
 // sweeps: small populations, short horizons, every forkable scenario, and
 // shapes that exercise multiple groups (two p0 values), multiple branch
 // epochs per group, and cells sharing a single branch.
-func equivalenceGrids() []engine.Grid {
-	return []engine.Grid{
+func equivalenceGrids() []Grid {
+	return []Grid{
 		{Scenario: "sim/gst", P0: []float64{0.4, 0.6}, GSTs: []int{2, 4, 5}, Horizons: []int{6, 8}, N: 24},
 		{Scenario: "sim/leak", P0: []float64{0.5}, Horizons: []int{8, 10, 12}, N: 20, Sample: 2},
 		{Scenario: "sim/semiactive", P0: []float64{0.5}, Beta0: []float64{0.2}, Horizons: []int{8, 11}, N: 20},
@@ -43,7 +40,7 @@ func equivalenceGrids() []engine.Grid {
 // (view layout x fork-choice engine) simulator matrix.
 func TestWarmVsColdEquivalence(t *testing.T) {
 	ctx := context.Background()
-	variants := []engine.SimVariant{
+	variants := []SimVariant{
 		{},
 		{OracleForkChoice: true},
 		{PerValidatorViews: true},
@@ -64,13 +61,13 @@ func TestWarmVsColdEquivalence(t *testing.T) {
 			reg := variantRegistry(t, v)
 			for _, g := range equivalenceGrids() {
 				cells := g.Cells()
-				cold := engine.SweepContext(ctx, cells, engine.Options{Workers: 2, Registry: reg})
+				cold := SweepContext(ctx, cells, Options{Workers: 2, Registry: reg})
 				for _, workers := range []int{1, 3} {
 					for _, budget := range []int64{-1, 1} {
-						warm := engine.SweepContext(ctx, cells, engine.Options{
+						warm := SweepContext(ctx, cells, Options{
 							Workers:   workers,
 							Registry:  reg,
-							WarmStart: &engine.WarmStartOptions{MemoryBudget: budget},
+							WarmStart: &WarmStartOptions{MemoryBudget: budget},
 						})
 						if len(warm) != len(cold) {
 							t.Fatalf("%s workers=%d budget=%d: %d results, want %d", g.Scenario, workers, budget, len(warm), len(cold))
@@ -88,18 +85,37 @@ func TestWarmVsColdEquivalence(t *testing.T) {
 	}
 }
 
+// TestWarmStartNeedsNoImport: warm start is part of the engine itself.
+// Engine's own tests install nothing, yet a two-cell shared-prefix grid
+// run with WarmStart resumes both cells from the shared snapshot and
+// matches the cold payloads.
+func TestWarmStartNeedsNoImport(t *testing.T) {
+	ctx := context.Background()
+	cells := Grid{Scenario: ScenarioSimGST, P0: []float64{0.5}, GSTs: []int{2, 4}, Horizons: []int{6}, N: 24}.Cells()
+	cold := SweepContext(ctx, cells, Options{Workers: 2})
+	warm := SweepContext(ctx, cells, Options{Workers: 2, WarmStart: &WarmStartOptions{}})
+	for i := range cells {
+		if m := warm[i].Meta; m == nil || m.Warm == nil || !m.Warm.Hit {
+			t.Errorf("cell %d: meta %+v, want a warm-start snapshot hit", i, m)
+		}
+		if !reflect.DeepEqual(cold[i].WithoutMeta(), warm[i].WithoutMeta()) {
+			t.Errorf("cell %d: warm result diverges from cold", i)
+		}
+	}
+}
+
 // TestWarmStartObservability checks the provenance a warm sweep stamps
 // into RunMeta: resumed cells report a hit with the branch epoch and saved
 // epochs, the counters see the prefix tree, and a starvation budget forces
 // at least one eviction-then-rebuild without changing results.
 func TestWarmStartObservability(t *testing.T) {
 	ctx := context.Background()
-	g := engine.Grid{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{2, 4}, Horizons: []int{6}, N: 24}
+	g := Grid{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{2, 4}, Horizons: []int{6}, N: 24}
 	cells := g.Cells()
 
-	warm := engine.SweepContext(ctx, cells, engine.Options{
+	warm := SweepContext(ctx, cells, Options{
 		Workers:   1,
-		WarmStart: &engine.WarmStartOptions{MemoryBudget: -1},
+		WarmStart: &WarmStartOptions{MemoryBudget: -1},
 	})
 	hits := 0
 	for i, r := range warm {
@@ -134,9 +150,9 @@ func TestWarmStartObservability(t *testing.T) {
 	// A 1-byte budget evicts every checkpoint as soon as the next
 	// publishes; with one worker the spine finishes before any resume
 	// starts, so the shallow checkpoint must be rebuilt on demand.
-	starved := engine.SweepContext(ctx, cells, engine.Options{
+	starved := SweepContext(ctx, cells, Options{
 		Workers:   1,
-		WarmStart: &engine.WarmStartOptions{MemoryBudget: 1},
+		WarmStart: &WarmStartOptions{MemoryBudget: 1},
 	})
 	rebuilt := 0
 	for i, r := range starved {
@@ -163,15 +179,15 @@ func TestWarmStartObservability(t *testing.T) {
 // succeed, with Hit=false provenance.
 func TestWarmStartColdFallback(t *testing.T) {
 	ctx := context.Background()
-	cells := []engine.Cell{
-		{Scenario: "sim/bounce", Params: engine.Params{N: 40, Horizon: 8, GST: 2, P0: 0.7, Beta0: 0.25, Seed: 19}},
+	cells := []Cell{
+		{Scenario: "sim/bounce", Params: Params{N: 40, Horizon: 8, GST: 2, P0: 0.7, Beta0: 0.25, Seed: 19}},
 		// A single sim/gst cell shares a prefix with nobody.
-		{Scenario: "sim/gst", Params: engine.Params{N: 24, Horizon: 6, GST: 3}},
+		{Scenario: "sim/gst", Params: Params{N: 24, Horizon: 6, GST: 3}},
 	}
-	cold := engine.SweepContext(ctx, cells, engine.Options{Workers: 2})
-	warm := engine.SweepContext(ctx, cells, engine.Options{
+	cold := SweepContext(ctx, cells, Options{Workers: 2})
+	warm := SweepContext(ctx, cells, Options{
 		Workers:   2,
-		WarmStart: &engine.WarmStartOptions{},
+		WarmStart: &WarmStartOptions{},
 	})
 	for i := range cells {
 		if warm[i].Err != "" {
@@ -194,10 +210,10 @@ func TestWarmStartColdFallback(t *testing.T) {
 func TestWarmStartCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	g := engine.Grid{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{2, 4}, Horizons: []int{6}, N: 24}
-	results := engine.SweepContext(ctx, g.Cells(), engine.Options{
+	g := Grid{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{2, 4}, Horizons: []int{6}, N: 24}
+	results := SweepContext(ctx, g.Cells(), Options{
 		Workers:   2,
-		WarmStart: &engine.WarmStartOptions{},
+		WarmStart: &WarmStartOptions{},
 	})
 	for i, r := range results {
 		if r.Err == "" {
@@ -211,16 +227,16 @@ func TestWarmStartCancellation(t *testing.T) {
 // cold sweep does.
 func TestWarmStartErrorCells(t *testing.T) {
 	ctx := context.Background()
-	cells := []engine.Cell{
-		{Scenario: "sim/gst", Params: engine.Params{N: 24, Horizon: 6, GST: -1, Explicit: engine.FieldGST}},
-		{Scenario: "sim/nope", Params: engine.Params{N: 8}},
-		{Scenario: "sim/gst", Params: engine.Params{N: 24, Horizon: 6, GST: 2}},
-		{Scenario: "sim/gst", Params: engine.Params{N: 24, Horizon: 8, GST: 2}},
+	cells := []Cell{
+		{Scenario: "sim/gst", Params: Params{N: 24, Horizon: 6, GST: -1, Explicit: FieldGST}},
+		{Scenario: "sim/nope", Params: Params{N: 8}},
+		{Scenario: "sim/gst", Params: Params{N: 24, Horizon: 6, GST: 2}},
+		{Scenario: "sim/gst", Params: Params{N: 24, Horizon: 8, GST: 2}},
 	}
-	cold := engine.SweepContext(ctx, cells, engine.Options{Workers: 2})
-	warm := engine.SweepContext(ctx, cells, engine.Options{
+	cold := SweepContext(ctx, cells, Options{Workers: 2})
+	warm := SweepContext(ctx, cells, Options{
 		Workers:   2,
-		WarmStart: &engine.WarmStartOptions{},
+		WarmStart: &WarmStartOptions{},
 	})
 	for i := range cells {
 		if !reflect.DeepEqual(cold[i].WithoutMeta(), warm[i].WithoutMeta()) {

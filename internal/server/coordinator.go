@@ -243,8 +243,11 @@ collect:
 
 	// Local fallback: with no workers left, the coordinator is still a
 	// complete serve process — finish the grid in-process so a total
-	// worker outage degrades throughput, not correctness.
-	if len(leftover) > 0 && ctx.Err() == nil {
+	// worker outage degrades throughput, not correctness. After
+	// cancellation the engine marks every unserved cell with the context
+	// error without computing it, exactly as it marks unstarted cells of
+	// an in-process sweep.
+	if len(leftover) > 0 {
 		local := make([]engine.Cell, len(leftover))
 		for k, i := range leftover {
 			local[k] = cells[i]
@@ -258,32 +261,7 @@ collect:
 			emitInOrder()
 		}
 	}
-
-	// Whatever is still unserved (cancellation) is marked with the
-	// context error, exactly as the in-process sweep marks unstarted
-	// cells.
-	if err := ctx.Err(); err != nil {
-		for i := range results {
-			if results[i] == nil {
-				res := failedDispatch(opt.Registry, cells[i], err.Error())
-				results[i] = &res
-			}
-		}
-	}
 	emitInOrder()
-}
-
-// failedDispatch mirrors the engine's failedCell: record the error on the
-// defaulted params when the scenario is known.
-func failedDispatch(reg *engine.Registry, cell engine.Cell, errText string) engine.Result {
-	if reg == nil {
-		reg = engine.Default
-	}
-	p := cell.Params
-	if s, ok := reg.Lookup(cell.Scenario); ok {
-		p = p.WithDefaults(s.Defaults())
-	}
-	return engine.Result{Scenario: cell.Scenario, Params: p, Err: errText}
 }
 
 // runCell executes one cell on a remote worker over the standard NDJSON

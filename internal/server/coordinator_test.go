@@ -85,7 +85,7 @@ func TestCoordinatorShardsSweep(t *testing.T) {
 	var runs atomic.Int64
 	reg := countedRegistry(&runs)
 	cells := fabricCells(8)
-	want := engine.Sweep(cells, engine.Options{Registry: reg})
+	want := engine.SweepContext(context.Background(), cells, engine.Options{Registry: reg})
 	runs.Store(0)
 
 	w1 := newFabricWorker(t, reg, -1)
@@ -111,6 +111,41 @@ func TestCoordinatorShardsSweep(t *testing.T) {
 	}
 }
 
+// TestCoordinatorCancelledMarksCells: a sweep cancelled before dispatch
+// streams every cell, in cell order and without computing any, marked
+// with the context error on the defaulted params it would have run.
+func TestCoordinatorCancelledMarksCells(t *testing.T) {
+	var runs atomic.Int64
+	reg := countedRegistry(&runs)
+	w := newFabricWorker(t, reg, -1)
+	c, err := newCoordinator([]string{w.ts.URL}, 0, 0, newMetrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cells := fabricCells(4)
+	pos := 0
+	for u := range c.dispatch(ctx, cells, engine.Options{Registry: reg}) {
+		if u.Index != pos {
+			t.Errorf("update %d carries index %d, want cell order", pos, u.Index)
+		}
+		pos++
+		if u.Result.Err != context.Canceled.Error() {
+			t.Errorf("cell %d: err %q, want the context error", u.Index, u.Result.Err)
+		}
+		if u.Result.Params.N != 10 || u.Result.Params.Seed != cells[u.Index].Params.Seed {
+			t.Errorf("cell %d: params %+v, want the defaulted cell params", u.Index, u.Result.Params)
+		}
+	}
+	if pos != len(cells) {
+		t.Fatalf("streamed %d updates, want %d", pos, len(cells))
+	}
+	if got := runs.Load(); got != 0 {
+		t.Errorf("cancelled sweep computed %d cells, want 0", got)
+	}
+}
+
 // TestCoordinatorFaultInjection is the randomized acceptance test: across
 // trials with random worker counts, a random worker is killed after a
 // random number of cells mid-sweep; the merged payload must stay
@@ -128,7 +163,7 @@ func TestCoordinatorFaultInjection(t *testing.T) {
 		var runs atomic.Int64
 		reg := countedRegistry(&runs)
 		cells := fabricCells(10)
-		want := engine.Sweep(cells, engine.Options{Registry: reg})
+		want := engine.SweepContext(context.Background(), cells, engine.Options{Registry: reg})
 
 		shards := make([]string, workers)
 		pool := make([]*fabricWorker, workers)
@@ -166,7 +201,7 @@ func TestCoordinatorAllWorkersDeadFallsBackLocal(t *testing.T) {
 	var runs atomic.Int64
 	reg := countedRegistry(&runs)
 	cells := fabricCells(6)
-	want := engine.Sweep(cells, engine.Options{Registry: reg})
+	want := engine.SweepContext(context.Background(), cells, engine.Options{Registry: reg})
 
 	dead := newFabricWorker(t, reg, 0) // crashes on its first cell
 	coord, ts := storeServer(t, Config{Registry: reg, CacheSize: -1, Shards: []string{dead.ts.URL}})

@@ -31,9 +31,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	// Install the snapshot-tree warm-start scheduler so warm sweeps work
-	// (the engine package cannot import it; see engine.SetWarmStartScheduler).
-	_ "repro/internal/engine/warmstart"
 	"repro/internal/store"
 )
 

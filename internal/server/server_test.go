@@ -216,7 +216,7 @@ func TestSweepNDJSONMatchesInProcess(t *testing.T) {
 		}
 		streamed[u.Index] = u.Result
 	}
-	local := engine.Sweep(cells, engine.Options{})
+	local := engine.SweepContext(context.Background(), cells, engine.Options{})
 	if !reflect.DeepEqual(engine.StripMeta(streamed), engine.StripMeta(local)) {
 		t.Error("streamed sweep diverges from in-process sweep")
 	}
@@ -552,28 +552,21 @@ func TestSweepWarmSharesRunCache(t *testing.T) {
 	}
 }
 
-// TestSweepCheckpointResumeAndMetrics: a server configured with a
-// checkpoint store resumes a sweep cell from a planted mid-cell
-// checkpoint — exactly what a crash-requeued worker leaves behind —
-// streams a payload identical to the cold run, deletes the checkpoint on
-// completion, and surfaces the resume in GET /metrics and /healthz.
-func TestSweepCheckpointResumeAndMetrics(t *testing.T) {
-	s, err := New(Config{StoreDir: t.TempDir(), CheckpointEvery: 8, CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+// leakCheckpointCell is a fast sim/leak cell deep enough to cross several
+// small checkpoint intervals.
+var leakCheckpointCell = engine.Cell{Scenario: engine.ScenarioSimLeak, Params: engine.Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
 
-	// Plant the checkpoint a killed worker would have left at epoch 16.
-	cell := engine.Cell{Scenario: engine.ScenarioSimLeak, Params: engine.Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
+// plantLeakCheckpoint stores the checkpoint a killed worker would have
+// left at epoch 16 of leakCheckpointCell and returns its cell key.
+func plantLeakCheckpoint(t *testing.T, s *Server) string {
+	t.Helper()
+	cell := leakCheckpointCell
 	sc, ok := engine.Default.Lookup(cell.Scenario)
 	if !ok {
 		t.Fatal("sim/leak not registered")
 	}
 	cs := sc.(engine.CheckpointableScenario)
-	p := cell.Params.WithDefaults(sc.Defaults())
-	pre, err := cs.RunTo(context.Background(), p, nil, 16)
+	pre, err := cs.RunTo(context.Background(), cell.Params.WithDefaults(sc.Defaults()), nil, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,8 +581,17 @@ func TestSweepCheckpointResumeAndMetrics(t *testing.T) {
 	if err := s.Checkpoints().SaveCheckpoint(key, blob.Bytes()); err != nil {
 		t.Fatal(err)
 	}
+	return key
+}
 
-	updates := decodeNDJSON(t, postJSON(t, ts.URL+"/sweep", map[string]any{"cells": []engine.Cell{cell}}))
+// sweepResumedCell posts a /sweep body for leakCheckpointCell and checks
+// that the streamed cell resumed from the planted epoch-16 checkpoint
+// with the cold run's payload, and that GET /metrics counts the resume.
+// It returns the metrics document.
+func sweepResumedCell(t *testing.T, url string, body map[string]any) metricsResponse {
+	t.Helper()
+	cell := leakCheckpointCell
+	updates := decodeNDJSON(t, postJSON(t, url+"/sweep", body))
 	if len(updates) != 1 {
 		t.Fatalf("streamed %d updates, want 1", len(updates))
 	}
@@ -601,11 +603,12 @@ func TestSweepCheckpointResumeAndMetrics(t *testing.T) {
 	if !reflect.DeepEqual(got.WithoutMeta(), cold.WithoutMeta()) {
 		t.Errorf("resumed sweep payload diverges from cold run:\n  got:  %+v\n  cold: %+v", got.WithoutMeta(), cold.WithoutMeta())
 	}
-	if ck := got.Meta.Checkpoint; ck == nil || !ck.Resumed || ck.ResumeEpoch != 16 || ck.EpochsSaved != 16 {
-		t.Fatalf("checkpoint meta = %+v, want a resume from epoch 16", got.Meta.Checkpoint)
+	if got.Meta == nil || got.Meta.Checkpoint == nil || !got.Meta.Checkpoint.Resumed ||
+		got.Meta.Checkpoint.ResumeEpoch != 16 || got.Meta.Checkpoint.EpochsSaved != 16 {
+		t.Fatalf("result meta = %+v, want a checkpoint resume from epoch 16", got.Meta)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,6 +623,24 @@ func TestSweepCheckpointResumeAndMetrics(t *testing.T) {
 	if m.Checkpoints.Resumed != 1 || m.Checkpoints.EpochsSaved != 16 {
 		t.Errorf("metrics resumed=%d epochs_saved=%d, want 1 and 16", m.Checkpoints.Resumed, m.Checkpoints.EpochsSaved)
 	}
+	return m
+}
+
+// TestSweepCheckpointResumeAndMetrics: a server configured with a
+// checkpoint store resumes a sweep cell from a planted mid-cell
+// checkpoint — exactly what a crash-requeued worker leaves behind —
+// streams a payload identical to the cold run, deletes the checkpoint on
+// completion, and surfaces the resume in GET /metrics and /healthz.
+func TestSweepCheckpointResumeAndMetrics(t *testing.T) {
+	s, err := New(Config{StoreDir: t.TempDir(), CheckpointEvery: 8, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	key := plantLeakCheckpoint(t, s)
+	m := sweepResumedCell(t, ts.URL, map[string]any{"cells": []engine.Cell{leakCheckpointCell}})
 	if m.Checkpoints.Written == 0 || m.Checkpoints.Loaded != 1 {
 		t.Errorf("metrics written=%d loaded=%d, want written>0 loaded=1", m.Checkpoints.Written, m.Checkpoints.Loaded)
 	}
@@ -627,7 +648,7 @@ func TestSweepCheckpointResumeAndMetrics(t *testing.T) {
 		t.Error("completed cell did not GC its checkpoint")
 	}
 
-	resp, err = http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,6 +665,21 @@ func TestSweepCheckpointResumeAndMetrics(t *testing.T) {
 	if _, ok := s.Checkpoints().LoadCheckpoint(key); ok {
 		t.Error("completed cell's checkpoint survived on disk")
 	}
+}
+
+// TestWarmSweepCheckpointResume: a single-cell "warm": true /sweep — the
+// shape a -warm coordinator sends its fabric workers — still resumes from
+// a planted checkpoint, so a crash-requeued warm cell does not recompute
+// from epoch 0.
+func TestWarmSweepCheckpointResume(t *testing.T) {
+	s, err := New(Config{StoreDir: t.TempDir(), CheckpointEvery: 8, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	plantLeakCheckpoint(t, s)
+	sweepResumedCell(t, ts.URL, map[string]any{"cells": []engine.Cell{leakCheckpointCell}, "warm": true})
 }
 
 // TestServerCheckpointsDisabled: a negative CheckpointEvery opts the

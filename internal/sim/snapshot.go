@@ -21,8 +21,8 @@ import (
 // snapshot can seed any number of continuations — long runs become
 // resumable, and sweeps whose cells share a prefix (same Config up to the
 // branch point) warm-start from one simulated prefix instead of
-// re-simulating epoch 0 per cell (see internal/engine/warmstart, which
-// promotes this primitive into a refcounted compute cache).
+// re-simulating epoch 0 per cell (engine.Options.WarmStart promotes this
+// primitive into a refcounted compute cache).
 //
 // Everything pseudo-random in the simulator is a stateless hash of
 // (seed, slot, ...) — proposer schedule, duty shuffling, link outages —
@@ -61,8 +61,8 @@ func (sn *Snapshot) Slot() types.Slot { return sn.slot }
 // Bytes estimates the snapshot's retained heap footprint: block-tree and
 // fork-choice columns (exact, via their Stats), validator registries (two
 // per view — current plus justified-checkpoint balances), and the held
-// network messages. Warm-start schedulers budget resident snapshots
-// against this figure (engine.WarmStartOptions.MemoryBudget).
+// network messages. Warm-started sweeps budget resident snapshots against
+// this figure (engine.WarmStartOptions.MemoryBudget).
 func (sn *Snapshot) Bytes() int64 { return sn.bytes }
 
 // Per-entry estimates for the snapshot components that do not expose an
